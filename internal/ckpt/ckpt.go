@@ -6,9 +6,8 @@
 package ckpt
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"sync"
@@ -16,6 +15,7 @@ import (
 	"windar/internal/proto"
 	"windar/internal/stable"
 	"windar/internal/vclock"
+	"windar/internal/wire"
 )
 
 // Checkpoint is one rank's durable recovery point.
@@ -45,51 +45,151 @@ type Checkpoint struct {
 	LogExternal bool
 }
 
-// Encode serializes c.
+// Snapshot format v3. An encoded checkpoint is
+//
+//	byte    version (snapshotVersion)
+//	byte    flags (flagLogExternal)
+//	varint  rank | varint step | varint deliveredCount
+//	uvarint len | appImage
+//	uvarint len | protoState
+//	vec     lastSendIndex | vec lastDeliverIndex   (wire.AppendVec)
+//	uvarint item count | items                     (proto.AppendLogItem)
+//
+// An empty byte field or vector decodes as nil. Earlier builds wrote
+// encoding/gob streams (v2); their first byte is a gob message length,
+// never 3, so they fail the version check rather than misparse.
+const snapshotVersion = 3
+
+// flagLogExternal is the flags bit for Checkpoint.LogExternal.
+const flagLogExternal = 1 << 0
+
+// ErrSnapshotVersion reports a blob in a snapshot format this build does
+// not read — notably a gob-encoded (v2) checkpoint written by an older
+// build. Such blobs are rejected, not converted.
+var ErrSnapshotVersion = errors.New("ckpt: unsupported snapshot version")
+
+// ErrCorrupt reports a v3 blob that is truncated or malformed.
+var ErrCorrupt = errors.New("ckpt: corrupt checkpoint")
+
+// AppendEncode appends c's encoding to buf and returns the extended
+// slice.
+//
+//windar:hotpath
+func AppendEncode(buf []byte, c *Checkpoint) []byte {
+	var flags byte
+	if c.LogExternal {
+		flags |= flagLogExternal
+	}
+	buf = append(buf, snapshotVersion, flags)
+	buf = binary.AppendVarint(buf, int64(c.Rank))
+	buf = binary.AppendVarint(buf, int64(c.Step))
+	buf = binary.AppendVarint(buf, c.DeliveredCount)
+	buf = binary.AppendUvarint(buf, uint64(len(c.AppImage)))
+	buf = append(buf, c.AppImage...)
+	buf = binary.AppendUvarint(buf, uint64(len(c.ProtoState)))
+	buf = append(buf, c.ProtoState...)
+	buf = wire.AppendVec(buf, c.LastSendIndex)
+	buf = wire.AppendVec(buf, c.LastDeliverIndex)
+	buf = binary.AppendUvarint(buf, uint64(len(c.Log)))
+	for i := range c.Log {
+		buf = proto.AppendLogItem(buf, &c.Log[i])
+	}
+	return buf
+}
+
+// sizeBound is an upper bound on len(AppendEncode(nil, c)), so an
+// encode sizes its buffer once.
+func sizeBound(c *Checkpoint) int {
+	n := 2 + 6*binary.MaxVarintLen64 + len(c.AppImage) + len(c.ProtoState) +
+		binary.MaxVarintLen64*(len(c.LastSendIndex)+len(c.LastDeliverIndex))
+	for i := range c.Log {
+		n += proto.LogItemOverhead + len(c.Log[i].Piggyback) + len(c.Log[i].Payload)
+	}
+	return n
+}
+
+// Encode serializes c into a fresh buffer. The v3 codec cannot fail;
+// the error result is reserved.
 func Encode(c *Checkpoint) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(c); err != nil {
-		return nil, fmt.Errorf("ckpt: encode rank %d: %w", c.Rank, err)
-	}
-	return buf.Bytes(), nil
+	return AppendEncode(make([]byte, 0, sizeBound(c)), c), nil
 }
 
-// Decode parses a checkpoint produced by Encode.
+// Decode parses a checkpoint produced by Encode. The byte fields and
+// the log items' piggybacks and payloads alias data (capped, so an
+// append to one cannot overwrite its neighbour), so the caller must not
+// modify data afterwards. A blob of another snapshot version returns an
+// error matching ErrSnapshotVersion; a damaged one, ErrCorrupt. Decode
+// never panics.
 func Decode(data []byte) (*Checkpoint, error) {
-	var c Checkpoint
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&c); err != nil {
-		return nil, fmt.Errorf("ckpt: decode: %w", err)
+	if len(data) == 0 {
+		return nil, fmt.Errorf("%w: empty blob", ErrCorrupt)
 	}
-	return &c, nil
+	if data[0] != snapshotVersion {
+		return nil, fmt.Errorf("%w %d (this build reads %d)", ErrSnapshotVersion, data[0], snapshotVersion)
+	}
+	r := wire.NewCursor(data[1:])
+	flags := r.Byte()
+	if flags&^flagLogExternal != 0 {
+		r.Fail()
+	}
+	c := &Checkpoint{LogExternal: flags&flagLogExternal != 0}
+	c.Rank = int(r.Varint())
+	c.Step = int(r.Varint())
+	c.DeliveredCount = r.Varint()
+	c.AppImage = r.Bytes()
+	c.ProtoState = r.Bytes()
+	c.LastSendIndex = r.Vec()
+	c.LastDeliverIndex = r.Vec()
+	// Every item takes at least six bytes, which bounds the allocation a
+	// corrupt count can ask for.
+	if n := r.Uvarint(); n > 0 && r.OK() {
+		if n > uint64(r.Remaining())/6 {
+			return nil, fmt.Errorf("%w: %d log items in %d bytes", ErrCorrupt, n, r.Remaining())
+		}
+		c.Log = make([]proto.LogItem, n)
+		for i := range c.Log {
+			c.Log[i] = proto.ReadLogItem(&r)
+		}
+	}
+	if !r.OK() {
+		return nil, fmt.Errorf("%w: truncated or malformed (%d bytes)", ErrCorrupt, len(data))
+	}
+	if r.Remaining() != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, r.Remaining())
+	}
+	return c, nil
 }
 
-// Checkpoint blobs are framed so a torn write is detectable rather than
+// Checkpoint blobs are framed so damage is detectable rather than
 // silently wrong: magic, u32 little-endian payload length, u32 CRC-32
-// (IEEE) of the payload, payload. gob alone will happily decode many
-// truncations of a valid stream, so the frame carries the truth about
-// the intended length.
-var frameMagic = []byte("WCKP1")
+// (IEEE) of the payload, payload. Decode rejects a truncated encoding by
+// itself, but a flipped byte inside a field can still parse; the
+// checksum catches that, and the length names a torn write as one.
+const frameMagic = "WCKP1"
 
-const frameHeader = 5 + 4 + 4
+const frameHeader = len(frameMagic) + 4 + 4
 
-// Frame wraps an encoded checkpoint with the length + checksum header.
-func Frame(payload []byte) []byte {
-	out := make([]byte, 0, frameHeader+len(payload))
-	out = append(out, frameMagic...)
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	out = append(out, hdr[:]...)
-	return append(out, payload...)
+// appendFrame appends c's framed encoding to buf. The header is
+// reserved first and filled in once the payload is encoded, so the
+// payload is written exactly once.
+func appendFrame(buf []byte, c *Checkpoint) []byte {
+	start := len(buf)
+	buf = append(buf, frameMagic...)
+	buf = append(buf, make([]byte, 8)...)
+	buf = AppendEncode(buf, c)
+	payload := buf[start+frameHeader:]
+	binary.LittleEndian.PutUint32(buf[start+len(frameMagic):], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[start+len(frameMagic)+4:], crc32.ChecksumIEEE(payload))
+	return buf
 }
 
-// Unframe verifies the header and returns the payload.
-func Unframe(data []byte) ([]byte, error) {
-	if len(data) < frameHeader || !bytes.Equal(data[:5], frameMagic) {
+// unframe verifies the header and returns the payload.
+func unframe(data []byte) ([]byte, error) {
+	if len(data) < frameHeader || string(data[:len(frameMagic)]) != frameMagic {
 		return nil, fmt.Errorf("ckpt: blob missing frame header (%d bytes)", len(data))
 	}
-	plen := int(binary.LittleEndian.Uint32(data[5:9]))
-	sum := binary.LittleEndian.Uint32(data[9:13])
+	plen := int(binary.LittleEndian.Uint32(data[len(frameMagic):]))
+	sum := binary.LittleEndian.Uint32(data[len(frameMagic)+4:])
 	payload := data[frameHeader:]
 	if len(payload) != plen {
 		return nil, fmt.Errorf("ckpt: torn blob: frame promises %d payload bytes, have %d", plen, len(payload))
@@ -119,7 +219,16 @@ type Manager struct {
 	mu          sync.Mutex
 	staged      map[int]*Checkpoint
 	durableStep map[int]int
-	saving      map[int]*sync.Mutex
+	saving      map[int]*saveSlot
+}
+
+// saveSlot serializes one rank's durable writes and holds its keys and
+// encode buffer. Store.Put copies the value, so the buffer is reused by
+// every Save of the rank.
+type saveSlot struct {
+	mu       sync.Mutex
+	key, tmp string
+	buf      []byte
 }
 
 // NewManager returns a Manager writing to store.
@@ -128,7 +237,7 @@ func NewManager(store *stable.Store) *Manager {
 		store:       store,
 		staged:      make(map[int]*Checkpoint),
 		durableStep: make(map[int]int),
-		saving:      make(map[int]*sync.Mutex),
+		saving:      make(map[int]*saveSlot),
 	}
 }
 
@@ -157,13 +266,14 @@ func (m *Manager) Save(c *Checkpoint) error {
 	m.mu.Lock()
 	slot := m.saving[c.Rank]
 	if slot == nil {
-		slot = &sync.Mutex{}
+		slot = &saveSlot{key: key(c.Rank)}
+		slot.tmp = slot.key + ".tmp"
 		m.saving[c.Rank] = slot
 	}
 	m.mu.Unlock()
 
-	slot.Lock()
-	defer slot.Unlock()
+	slot.mu.Lock()
+	defer slot.mu.Unlock()
 	m.mu.Lock()
 	prev, saved := m.durableStep[c.Rank]
 	m.mu.Unlock()
@@ -171,16 +281,11 @@ func (m *Manager) Save(c *Checkpoint) error {
 		return nil
 	}
 
-	data, err := Encode(c)
-	if err != nil {
-		return err
-	}
-	framed := Frame(data)
-	tmp := key(c.Rank) + ".tmp"
-	if err := m.store.Put(tmp, framed); err != nil {
+	slot.buf = appendFrame(slot.buf[:0], c)
+	if err := m.store.Put(slot.tmp, slot.buf); err != nil {
 		return fmt.Errorf("ckpt: save rank %d: %w", c.Rank, err)
 	}
-	if err := m.store.Rename(tmp, key(c.Rank)); err != nil {
+	if err := m.store.Rename(slot.tmp, slot.key); err != nil {
 		return fmt.Errorf("ckpt: publish rank %d: %w", c.Rank, err)
 	}
 	m.mu.Lock()
@@ -211,7 +316,7 @@ func (m *Manager) LoadDurable(rank int) (*Checkpoint, bool, error) {
 	if !ok {
 		return nil, false, nil
 	}
-	payload, err := Unframe(data)
+	payload, err := unframe(data)
 	if err != nil {
 		return nil, false, err
 	}

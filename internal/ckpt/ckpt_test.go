@@ -113,15 +113,11 @@ func TestManagerPerRankIsolation(t *testing.T) {
 func TestSaveTornBlobAtEveryOffset(t *testing.T) {
 	// Regression for the crash-atomicity bug: Save used to overwrite
 	// key(rank) in place, so a torn Put on a real backend could leave a
-	// prefix of the new blob — which gob will often decode into a
-	// silently wrong checkpoint. Load must reject every truncation of a
+	// prefix of the new blob, and a prefix of an encoding can still
+	// parse as some checkpoint. Load must reject every truncation of a
 	// framed blob instead of surfacing one.
 	c := sampleCheckpoint()
-	data, err := Encode(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	framed := Frame(data)
+	framed := appendFrame(nil, c)
 	store := stable.NewStore(stable.Options{})
 	m := NewManager(store)
 	for cut := 0; cut < len(framed); cut++ {
@@ -149,8 +145,7 @@ func TestSaveCrashBeforePublishKeepsOld(t *testing.T) {
 	}
 	c2 := sampleCheckpoint()
 	c2.Step = 99
-	data, _ := Encode(c2)
-	m.Store().Put(key(2)+".tmp", Frame(data)) // simulated crash: temp written, never renamed
+	m.Store().Put(key(2)+".tmp", appendFrame(nil, c2)) // simulated crash: temp written, never renamed
 	got, ok, err := m.LoadDurable(2)
 	if err != nil || !ok || got.Step != c1.Step {
 		t.Fatalf("old checkpoint lost: %v %v %+v", ok, err, got)

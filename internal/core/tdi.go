@@ -423,7 +423,13 @@ func (t *TDI) DeliveryDemand(env *wire.Envelope) (int64, bool) {
 // bases, which must survive a restore so the incarnation can keep
 // decoding deltas from live senders mid-chain.
 func (t *TDI) Snapshot() []byte {
-	buf := append([]byte(nil), snapshotV2Marker)
+	size := 1 + wire.VecSize(t.dependInterval) + t.n
+	for _, base := range t.recv {
+		if base != nil {
+			size += wire.VecSize(base)
+		}
+	}
+	buf := append(make([]byte, 0, size), snapshotV2Marker)
 	buf = wire.AppendVec(buf, t.dependInterval)
 	for src := 0; src < t.n; src++ {
 		if t.recv[src] == nil {

@@ -23,7 +23,7 @@ package fabric
 import (
 	"errors"
 	"fmt"
-	"math/rand"
+	"math/rand/v2"
 	"sync"
 	"time"
 
@@ -90,8 +90,8 @@ type Fabric struct {
 	closed    chan struct{}
 }
 
-// New builds the fabric and starts one delivery goroutine per link (they
-// are created lazily on first use).
+// New builds the fabric. Each link's delivery goroutine starts on the
+// link's first queued message, so an idle link costs no goroutine.
 func New(cfg Config) *Fabric {
 	if cfg.N <= 0 {
 		panic(fmt.Sprintf("fabric: invalid N=%d", cfg.N))
@@ -119,12 +119,11 @@ func New(cfg Config) *Fabric {
 				f:      f,
 				to:     to,
 				maxBuf: cfg.LinkBufferBytes,
-				rng:    rand.New(rand.NewSource(cfg.Seed ^ int64(from*cfg.N+to)*0x5851F42D4C957F2D ^ 0x5DEECE66D)),
 				batch:  cfg.Batch.Rank(from),
 			}
+			l.rng.Seed(uint64(cfg.Seed), uint64(from*cfg.N+to))
 			l.cond = sync.NewCond(&l.mu)
 			f.links[from*cfg.N+to] = l
-			go l.run()
 		}
 	}
 	return f
@@ -335,13 +334,18 @@ type link struct {
 	queue   []*item
 	queued  int64 // bytes waiting
 	busy    int   // messages in service (the current batch)
-	rng     *rand.Rand
+	started bool  // delivery goroutine launched
+	rng     rand.PCG
 	batch   *obs.Hist // occupancy of each serviced batch (nil-safe)
 	dropped int64
 }
 
 func (l *link) enqueue(it *item, abort <-chan struct{}, closed chan struct{}) error {
 	l.mu.Lock()
+	if !l.started {
+		l.started = true
+		go l.run()
+	}
 	for l.queued+it.size > l.maxBuf && l.queued > 0 {
 		// Buffer full: wait for drain, abort, or shutdown. Poll the
 		// abort channel around cond waits; the delivery goroutine
@@ -457,7 +461,8 @@ func (l *link) delayFor(size int64) time.Duration {
 		d += time.Duration(size * int64(time.Second) / bps)
 	}
 	if jf := l.f.cfg.JitterFraction; jf > 0 && d > 0 {
-		d += time.Duration(l.rng.Float64() * jf * float64(d))
+		u := float64(l.rng.Uint64()>>11) / (1 << 53) // uniform in [0, 1)
+		d += time.Duration(u * jf * float64(d))
 	}
 	return d
 }

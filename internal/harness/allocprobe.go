@@ -12,8 +12,11 @@ import (
 	"testing"
 
 	"windar/internal/app"
+	"windar/internal/ckpt"
 	"windar/internal/core"
 	"windar/internal/obs"
+	"windar/internal/proto"
+	"windar/internal/vclock"
 	"windar/internal/wire"
 	"windar/layer"
 )
@@ -42,6 +45,8 @@ func AllocProbes() []AllocProbe {
 		{Name: "hist_record", F: probeHistRecord},
 		{Name: "frame_append", F: probeFrameAppend},
 		{Name: "frame_read", F: probeFrameRead},
+		{Name: "log_append_release", F: probeLogAppendRelease},
+		{Name: "ckpt_encode", F: probeCkptEncode},
 	}
 }
 
@@ -248,3 +253,54 @@ func probeFrameRead() float64 {
 }
 
 var _ io.Reader = (*loopReader)(nil)
+
+// probeLogAppendRelease measures the sender log's steady state. One
+// operation is 1024 appends spread over four destinations, a partial
+// release of each destination every 40 appends (a receiver checkpointing
+// all but its newest messages) and a full release at the end. That
+// crosses several 256-item chunk boundaries per operation, so any chunk
+// the log fails to recycle costs at least one allocation per operation.
+func probeLogAppendRelease() float64 {
+	const dests = 4
+	l := proto.NewLog()
+	pig, payload := []byte{0x00, 0x00}, []byte("payload-bytes")
+	var idx [dests]int64
+	op := func() {
+		for i := 1; i <= 1024; i++ {
+			d := i % dests
+			idx[d]++
+			l.Append(proto.LogItem{Dest: d, SendIndex: idx[d], Piggyback: pig, Payload: payload})
+			if i%40 == 0 {
+				for d := range idx {
+					l.Release(d, idx[d]-2)
+				}
+			}
+		}
+		for d := range idx {
+			l.Release(d, idx[d])
+		}
+	}
+	op() // grow the chunk lists and the spare pool to their peak
+	return testing.AllocsPerRun(allocProbeRuns, op)
+}
+
+// probeCkptEncode measures encoding a checkpoint (64-rank vectors, 256
+// retained log items) into a reused buffer, as Manager.Save does.
+func probeCkptEncode() float64 {
+	cp := &ckpt.Checkpoint{
+		Rank: 3, Step: 40, DeliveredCount: 1000,
+		AppImage:         make([]byte, 512),
+		ProtoState:       make([]byte, 64),
+		LastSendIndex:    vclock.New(64),
+		LastDeliverIndex: vclock.New(64),
+	}
+	for i := 0; i < 256; i++ {
+		cp.Log = append(cp.Log, proto.LogItem{
+			Dest: i % 63, SendIndex: int64(i/63 + 1), Piggyback: []byte{0x00, 0x00}, Payload: []byte("payload-bytes"),
+		})
+	}
+	buf := ckpt.AppendEncode(nil, cp)
+	return testing.AllocsPerRun(allocProbeRuns, func() {
+		buf = ckpt.AppendEncode(buf[:0], cp)
+	})
+}

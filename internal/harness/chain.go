@@ -192,7 +192,7 @@ func (h coreHandler) Send(m *layer.Msg) {
 	}
 	r.log.Append(it)
 	if r.c.durableLogs {
-		r.c.slogAppend(r.id, &it)
+		r.slogAppend(&it)
 	}
 	r.sendSuppressed = m.SendIndex <= r.rollbackLastSendIndex[m.Peer]
 }

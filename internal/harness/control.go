@@ -98,6 +98,7 @@ func decodeCkptAdvance(b []byte) (int64, int64, error) {
 // rank id — or an unknown kind — is dropped and counted here rather
 // than crashing the rank.
 func (r *rankRuntime) receiverLoop(in transport.Inbox) {
+	defer r.c.recvWG.Done()
 	if batch := r.c.recvBatch(); batch > 0 {
 		if bi, ok := in.(transport.BatchInbox); ok {
 			r.receiverLoopBatched(bi, batch)

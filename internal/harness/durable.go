@@ -1,13 +1,12 @@
 package harness
 
 import (
-	"encoding/binary"
 	"fmt"
 	"strconv"
 
 	"windar/internal/ckpt"
 	"windar/internal/proto"
-	"windar/layer"
+	"windar/internal/wire"
 )
 
 // Durable sender logs (Config.DurableLogs): every log append is mirrored
@@ -36,82 +35,27 @@ func slogPrefix(rank, dest int) string {
 	return fmt.Sprintf("slog/%03d/%03d/", rank, dest)
 }
 
-// appendLogItem serializes it (a deterministic varint codec rather than
-// gob: one mirrored append per message must not pay per-call encoder
-// setup).
-func appendLogItem(buf []byte, it *proto.LogItem) []byte {
-	buf = binary.AppendUvarint(buf, uint64(it.Dest))
-	buf = binary.AppendVarint(buf, it.SendIndex)
-	buf = binary.AppendVarint(buf, int64(it.Tag))
-	buf = binary.AppendUvarint(buf, it.Span.Trace)
-	buf = binary.AppendUvarint(buf, it.Span.Span)
-	buf = binary.AppendUvarint(buf, uint64(len(it.Piggyback)))
-	buf = append(buf, it.Piggyback...)
-	buf = binary.AppendUvarint(buf, uint64(len(it.Payload)))
-	return append(buf, it.Payload...)
-}
-
-// decodeLogItem parses appendLogItem's encoding.
-func decodeLogItem(b []byte) (proto.LogItem, error) {
-	var it proto.LogItem
-	fail := func() (proto.LogItem, error) {
-		return it, fmt.Errorf("harness: corrupt slog item (%d bytes)", len(b))
-	}
-	dest, n := binary.Uvarint(b)
-	if n <= 0 {
-		return fail()
-	}
-	b = b[n:]
-	idx, n := binary.Varint(b)
-	if n <= 0 {
-		return fail()
-	}
-	b = b[n:]
-	tag, n := binary.Varint(b)
-	if n <= 0 {
-		return fail()
-	}
-	b = b[n:]
-	trace, n := binary.Uvarint(b)
-	if n <= 0 {
-		return fail()
-	}
-	b = b[n:]
-	span, n := binary.Uvarint(b)
-	if n <= 0 {
-		return fail()
-	}
-	b = b[n:]
-	plen, n := binary.Uvarint(b)
-	if n <= 0 || uint64(len(b[n:])) < plen {
-		return fail()
-	}
-	b = b[n:]
-	pig := b[:plen]
-	b = b[plen:]
-	vlen, n := binary.Uvarint(b)
-	if n <= 0 || uint64(len(b[n:])) != vlen {
-		return fail()
-	}
-	it.Dest = int(dest)
-	it.SendIndex = idx
-	it.Tag = int32(tag)
-	it.Span = layer.SpanContext{Trace: trace, Span: span}
-	if plen > 0 {
-		it.Piggyback = append([]byte(nil), pig...)
-	}
-	if vlen > 0 {
-		it.Payload = append([]byte(nil), b[n:]...)
+// decodeSlogItem parses one mirrored item: exactly one
+// proto.AppendLogItem encoding. The item aliases b, which the store
+// handed out as a private copy.
+func decodeSlogItem(b []byte) (proto.LogItem, error) {
+	c := wire.NewCursor(b)
+	it := proto.ReadLogItem(&c)
+	if !c.OK() || c.Remaining() != 0 {
+		return proto.LogItem{}, fmt.Errorf("harness: corrupt slog item (%d bytes)", len(b))
 	}
 	return it, nil
 }
 
 // slogAppend mirrors one just-logged item into the stable keyspace.
 // Called under the rank lock on the send path; PutLazy never sleeps, so
-// the lock is safe to hold across it.
-func (c *Cluster) slogAppend(rank int, it *proto.LogItem) {
-	if err := c.store.PutLazy(slogKey(rank, it.Dest, it.SendIndex), appendLogItem(nil, it)); err != nil {
-		panic(fmt.Sprintf("harness: rank %d slog append: %v", rank, err))
+// the lock is safe to hold across it, and it copies the value, so the
+// encode buffer is reused. A store that fails under a killed incarnation
+// is being closed under it; the dead rank's mirror no longer matters.
+func (r *rankRuntime) slogAppend(it *proto.LogItem) {
+	r.slogBuf = proto.AppendLogItem(r.slogBuf[:0], it)
+	if err := r.c.store.PutLazy(slogKey(r.id, it.Dest, it.SendIndex), r.slogBuf); err != nil && !r.isKilled() {
+		panic(fmt.Sprintf("harness: rank %d slog append: %v", r.id, err))
 	}
 }
 
@@ -160,7 +104,7 @@ func (r *rankRuntime) restoreLog(cp *ckpt.Checkpoint) error {
 			if !ok {
 				continue // released concurrently; the peer no longer needs it
 			}
-			it, err := decodeLogItem(data)
+			it, err := decodeSlogItem(data)
 			if err != nil {
 				return fmt.Errorf("harness: rank %d: slog key %q: %w", r.id, k, err)
 			}

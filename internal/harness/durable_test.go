@@ -186,7 +186,7 @@ func TestDurableLogsBoundStore(t *testing.T) {
 func TestSlogCodecRoundTrip(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		it := testLogItem(i)
-		got, err := decodeLogItem(appendLogItem(nil, &it))
+		got, err := decodeSlogItem(proto.AppendLogItem(nil, &it))
 		if err != nil {
 			t.Fatalf("item %d: decode: %v", i, err)
 		}
@@ -198,9 +198,9 @@ func TestSlogCodecRoundTrip(t *testing.T) {
 	}
 	// Truncations at every byte offset must error, never panic.
 	it := testLogItem(7)
-	full := appendLogItem(nil, &it)
+	full := proto.AppendLogItem(nil, &it)
 	for cut := 0; cut < len(full); cut++ {
-		if _, err := decodeLogItem(full[:cut]); err == nil {
+		if _, err := decodeSlogItem(full[:cut]); err == nil {
 			t.Fatalf("truncation at %d decoded cleanly", cut)
 		}
 	}
@@ -219,4 +219,36 @@ func testLogItem(i int) (it proto.LogItem) {
 		it.Payload = []byte(fmt.Sprintf("payload-%d", i))
 	}
 	return it
+}
+
+// TestCloseMidReleaseDiskDurableLogs is the regression for Close closing
+// the stable backend while a receiver was still applying a
+// CHECKPOINT_ADVANCE: its mirrored-log Delete then hit the closed disk
+// backend and panicked the process. Long checkpoint intervals and the
+// store's write latency stretch every release over many sleeping
+// Deletes, and Close lands as soon as the first release has begun.
+func TestCloseMidReleaseDiskDurableLogs(t *testing.T) {
+	const n = 6
+	for i := 0; i < 10; i++ {
+		cfg := testConfig(n, TDI)
+		cfg.CheckpointEvery = 40
+		cfg.StableWriteLatency = 200 * time.Microsecond
+		cfg.Stable = diskBackend(t, t.TempDir())
+		cfg.DurableLogs = true
+		c, err := NewCluster(cfg, sumFactory(1<<20))
+		if err != nil {
+			t.Fatalf("NewCluster: %v", err)
+		}
+		if err := c.Start(); err != nil {
+			t.Fatalf("Start: %v", err)
+		}
+		deadline := time.Now().Add(30 * time.Second)
+		for c.Metrics().Total().LogItemsReleased == 0 {
+			if time.Now().After(deadline) {
+				t.Fatal("no log release within 30s")
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+		c.Close()
+	}
 }

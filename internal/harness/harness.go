@@ -264,6 +264,10 @@ type Cluster struct {
 	// ckptWG counts the per-rank checkpoint writer goroutines; Close
 	// waits for them (they drain queued saves) before closing the store.
 	ckptWG sync.WaitGroup
+	// recvWG counts the receiver goroutines of every incarnation. A
+	// receiver applying CHECKPOINT_ADVANCE deletes mirrored log keys, so
+	// Close waits for them too before closing the store.
+	recvWG sync.WaitGroup
 
 	// Observability families (nil handles when cfg.Obs is nil; records
 	// through them no-op).
@@ -596,9 +600,11 @@ func (c *Cluster) Close() {
 		c.telLog.Close()
 	}
 	c.tr.Close()
-	// Checkpoint writers drain their queues after the kill, so a clean
-	// shutdown never loses a taken checkpoint's durable write; only then
-	// is the backend (and its WAL committer) closed.
+	// Closing the transport ends every receiver loop. Checkpoint writers
+	// drain their queues after the kill, so a clean shutdown never loses
+	// a taken checkpoint's durable write. Only once both have exited is
+	// the backend (and its WAL committer) closed.
+	c.recvWG.Wait()
 	c.ckptWG.Wait()
 	c.store.Close()
 }

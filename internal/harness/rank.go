@@ -59,6 +59,9 @@ type rankRuntime struct {
 	// released, which merely rounds the log's retention up to chunk
 	// granularity.
 	payArena []byte
+	// slogBuf is slogAppend's encode buffer (Config.DurableLogs),
+	// touched only under mu on the send path.
+	slogBuf []byte
 	// sendSuppressed is coreHandler.Send's verdict for the message just
 	// pushed through the chain (valid until the next Send).
 	sendSuppressed bool
@@ -229,6 +232,7 @@ func (r *rankRuntime) start(fromStep int, rollback []byte) {
 	r.startStep = fromStep
 	// Pin the inbox handle synchronously so this incarnation's receiver
 	// can never attach to a successor's queue.
+	r.c.recvWG.Add(1)
 	go r.receiverLoop(r.c.tr.Inbox(r.id))
 	if r.c.cfg.Mode == NonBlocking {
 		go r.senderLoop()

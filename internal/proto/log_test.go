@@ -1,6 +1,7 @@
 package proto
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -192,5 +193,158 @@ func TestVerdictString(t *testing.T) {
 	}
 	if Verdict(9).String() != "Verdict(?)" {
 		t.Fatal("unknown verdict string wrong")
+	}
+}
+
+// checkStorage asserts the log's storage invariants: every released or
+// unused slot is zeroed (no payload or piggyback stays reachable through
+// it), every chunk in a list holds a live item and no dropped chunk stays
+// reachable from the list, and the spare pool holds only zeroed chunks,
+// at most one per destination.
+func checkStorage(t *testing.T, l *Log) {
+	t.Helper()
+	zero := func(c []LogItem, what string) {
+		t.Helper()
+		for i := range c {
+			if !reflect.ValueOf(c[i]).IsZero() {
+				t.Fatalf("%s slot %d not zeroed: %+v", what, i, c[i])
+			}
+		}
+	}
+	for dest, d := range l.perDest {
+		for i, c := range d.chunks {
+			zero(c[len(c):cap(c)], fmt.Sprintf("dest %d chunk %d unused", dest, i))
+			if len(d.live(i)) == 0 {
+				t.Fatalf("dest %d chunk %d has no live item", dest, i)
+			}
+		}
+		for _, c := range d.chunks[len(d.chunks):cap(d.chunks)] {
+			if c != nil {
+				t.Fatalf("dest %d: chunk list keeps a dropped chunk reachable", dest)
+			}
+		}
+		if len(d.chunks) > 0 {
+			zero(d.chunks[0][:d.head], fmt.Sprintf("dest %d released", dest))
+		} else if d.head != 0 || d.count != 0 {
+			t.Fatalf("dest %d: empty list with head %d count %d", dest, d.head, d.count)
+		}
+	}
+	if len(l.spare) > len(l.perDest) {
+		t.Fatalf("spare pool holds %d chunks for %d destinations", len(l.spare), len(l.perDest))
+	}
+	for i, c := range l.spare {
+		if len(c) != 0 || cap(c) != logChunkItems {
+			t.Fatalf("spare %d: len %d cap %d", i, len(c), cap(c))
+		}
+		zero(c[:cap(c)], fmt.Sprintf("spare %d", i))
+	}
+}
+
+// TestLogRecyclingModel drives long random Append/Release/ItemsFor/All/
+// RestoreAll sequences, crossing many chunk boundaries, against a naive
+// slice model. Besides the contents it checks that released storage is
+// zeroed and bounded, and that copies handed out earlier (a staged
+// checkpoint's All, a resend set from ItemsFor) survive later chunk
+// reuse unchanged.
+func TestLogRecyclingModel(t *testing.T) {
+	const dests = 3
+	for seed := int64(1); seed <= 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		l := NewLog()
+		model := map[int][]LogItem{}
+		var next [dests]int64
+		type held struct{ got, want []LogItem }
+		var copies []held
+		keep := func(got []LogItem) {
+			want := append([]LogItem(nil), got...)
+			for i := range want {
+				want[i].Payload = append([]byte(nil), want[i].Payload...)
+			}
+			copies = append(copies, held{got, want})
+		}
+		modelAll := func() []LogItem {
+			var out []LogItem
+			for d := 0; d < dests; d++ {
+				out = append(out, model[d]...)
+			}
+			return out
+		}
+		for step := 0; step < 6000; step++ {
+			d := rng.Intn(dests)
+			switch r := rng.Intn(100); {
+			case r < 70:
+				// Mostly one append; now and then a burst that runs a
+				// destination several chunks ahead of its releases, so
+				// one release frees more chunks than the pool keeps.
+				burst := 1
+				if rng.Intn(200) == 0 {
+					burst = 700
+				}
+				for ; burst > 0; burst-- {
+					next[d]++
+					it := LogItem{Dest: d, SendIndex: next[d], Tag: int32(step),
+						Payload: []byte(fmt.Sprintf("%d/%d", d, next[d]))}
+					if next[d]%3 == 0 {
+						it.Piggyback = []byte{byte(step)}
+					}
+					l.Append(it)
+					model[d] = append(model[d], it)
+				}
+			case r < 88:
+				upto := next[d] - int64(rng.Intn(12))
+				if rng.Intn(6) == 0 {
+					upto = next[d] // full release
+				}
+				want := 0
+				for len(model[d]) > 0 && model[d][0].SendIndex <= upto {
+					model[d] = model[d][1:]
+					want++
+				}
+				if got := l.Release(d, upto); got != want {
+					t.Fatalf("seed %d step %d: Release(%d, %d) = %d, want %d", seed, step, d, upto, got, want)
+				}
+			case r < 94:
+				after := next[d] - int64(rng.Intn(300))
+				got := l.ItemsFor(d, after)
+				var want []LogItem
+				for _, it := range model[d] {
+					if it.SendIndex > after {
+						want = append(want, it)
+					}
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d step %d: ItemsFor(%d, %d) = %d items, want %d", seed, step, d, after, len(got), len(want))
+				}
+				keep(got)
+			case r < 99:
+				got := l.All()
+				if want := modelAll(); !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d step %d: All = %d items, want %d", seed, step, len(got), len(want))
+				}
+				keep(got)
+			default:
+				// A recovery: rebuild from a copy of the current contents.
+				l.RestoreAll(l.All())
+			}
+			total, bytes := 0, int64(0)
+			for _, its := range model {
+				total += len(its)
+				for _, it := range its {
+					bytes += int64(len(it.Payload) + len(it.Piggyback))
+				}
+			}
+			if l.Len() != total || l.Bytes() != bytes {
+				t.Fatalf("seed %d step %d: Len/Bytes = %d/%d, want %d/%d", seed, step, l.Len(), l.Bytes(), total, bytes)
+			}
+			if step%97 == 0 {
+				checkStorage(t, l)
+			}
+		}
+		checkStorage(t, l)
+		for i, h := range copies {
+			if !reflect.DeepEqual(h.got, h.want) {
+				t.Fatalf("seed %d: copy %d changed after later chunk reuse", seed, i)
+			}
+		}
 	}
 }

@@ -42,19 +42,21 @@ func TestConformanceRoundTrip(t *testing.T) {
 func TestConformanceCopies(t *testing.T) {
 	for name, b := range conformanceBackends(t) {
 		t.Run(name, func(t *testing.T) {
-			buf := []byte("abc")
-			if err := b.Put("k", buf); err != nil {
-				t.Fatalf("Put: %v", err)
-			}
-			buf[0] = 'X'
-			got, _ := b.Get("k")
-			if string(got) != "abc" {
-				t.Fatalf("backend aliased caller buffer: %q", got)
-			}
-			got[0] = 'Y'
-			again, _ := b.Get("k")
-			if string(again) != "abc" {
-				t.Fatalf("Get returned aliased internal buffer: %q", again)
+			for op, put := range map[string]func(string, []byte) error{"Put": b.Put, "PutLazy": b.PutLazy} {
+				buf := []byte("abc")
+				if err := put(op, buf); err != nil {
+					t.Fatalf("%s: %v", op, err)
+				}
+				buf[0] = 'X'
+				got, _ := b.Get(op)
+				if string(got) != "abc" {
+					t.Fatalf("%s aliased caller buffer: %q", op, got)
+				}
+				got[0] = 'Y'
+				again, _ := b.Get(op)
+				if string(again) != "abc" {
+					t.Fatalf("Get returned aliased internal buffer: %q", again)
+				}
 			}
 		})
 	}

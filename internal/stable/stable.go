@@ -41,6 +41,8 @@ import (
 //   - Sync is the group-commit barrier: when it returns, every mutation
 //     that returned before Sync was called is durable.
 //   - Get and Keys observe all completed mutations, durable or not.
+//   - Put and PutLazy copy data: the caller may reuse its buffer as
+//     soon as the call returns.
 //
 // All methods are safe for concurrent use.
 type Backend interface {
@@ -151,7 +153,8 @@ func (s *Store) Put(key string, data []byte) error {
 // PutLazy stores data under key without waiting for durability (or
 // charging write latency): the write is durable at the next Sync, Put,
 // or Rename. Hot paths use it for log appends that a checkpoint's Sync
-// barrier later makes durable in one batch.
+// barrier later makes durable in one batch. The stored bytes are
+// copied, as for Put.
 func (s *Store) PutLazy(key string, data []byte) error {
 	err := s.backend.PutLazy(key, data)
 	s.mu.Lock()

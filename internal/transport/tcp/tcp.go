@@ -44,7 +44,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math/rand"
+	"math/rand/v2"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -167,9 +167,9 @@ func New(cfg Config) (*Transport, error) {
 		for to := 0; to < cfg.N; to++ {
 			l := &link{
 				t: t, from: from, to: to, base: map[int64]int64{},
-				rng:   rand.New(rand.NewSource(cfg.Seed ^ int64(from*cfg.N+to)*0x5851F42D4C957F2D ^ 0x5DEECE66D)),
 				batch: cfg.Batch.Rank(from),
 			}
+			l.rng.Seed(uint64(cfg.Seed), uint64(from*cfg.N+to))
 			l.cond = sync.NewCond(&l.mu)
 			t.links[from*cfg.N+to] = l
 		}
@@ -479,7 +479,7 @@ type link struct {
 
 	// rng (backoff jitter) and batch (occupancy histogram, nil-safe)
 	// are touched only by the writer goroutine.
-	rng   *rand.Rand
+	rng   rand.PCG
 	batch *obs.Hist
 }
 
@@ -649,6 +649,7 @@ func (l *link) watch(conn net.Conn) {
 // dial connects to the destination with bounded exponential backoff,
 // giving up when the transport closes or the destination dies.
 func (l *link) dial() (net.Conn, bool) {
+	rng := rand.New(&l.rng)
 	backoff := time.Millisecond
 	for {
 		if l.t.isClosed() || !l.t.Alive(l.to) {
@@ -662,7 +663,7 @@ func (l *link) dial() (net.Conn, bool) {
 		// revived rank would otherwise retry on the same deterministic
 		// schedule. Sleep a uniform pick from [backoff/2, backoff] and
 		// record the delay actually slept.
-		sleep := backoff/2 + time.Duration(l.rng.Int63n(int64(backoff/2)+1))
+		sleep := backoff/2 + time.Duration(rng.Int64N(int64(backoff/2)+1))
 		l.t.cfg.Backoff.Rank(l.from).RecordDuration(sleep)
 		select {
 		case <-l.t.closed:

@@ -53,6 +53,7 @@ import (
 	"time"
 
 	iapp "windar/internal/app"
+	"windar/internal/ckpt"
 	"windar/internal/clock"
 	"windar/internal/experiments"
 	"windar/internal/fabric"
@@ -510,8 +511,14 @@ func (c *Cluster) Start() error { return c.inner.Start() }
 // is set the recorder is seeded with the restored checkpoint baselines
 // so validation measures the resumed run correctly (the seed is
 // in-process only — an exported trace of a resumed run covers just the
-// resumed suffix).
+// resumed suffix). A directory whose checkpoints were written in an
+// older snapshot format fails with an error matching ErrSnapshotVersion.
 func (c *Cluster) StartFromStable() error { return c.inner.StartFromStable() }
+
+// ErrSnapshotVersion reports a durable checkpoint in a snapshot format
+// this build does not read (the gob-encoded v2 format of older builds).
+// Such checkpoints are rejected, not converted; test with errors.Is.
+var ErrSnapshotVersion = ckpt.ErrSnapshotVersion
 
 // Wait blocks until every rank's application completed, across any
 // injected failures and recoveries.
