@@ -2,7 +2,9 @@ package fabric
 
 import (
 	"fmt"
+	"sync"
 	"testing"
+	"time"
 
 	"windar/internal/wire"
 )
@@ -26,7 +28,7 @@ func BenchmarkPingPong(b *testing.B) {
 }
 
 // BenchmarkThroughputOneLink streams messages down one link as fast as
-// the delivery goroutine can carry them.
+// the delivery scheduler can carry them.
 func BenchmarkThroughputOneLink(b *testing.B) {
 	for _, size := range []int{64, 4096, 65536} {
 		b.Run(fmt.Sprintf("%dB", size), func(b *testing.B) {
@@ -91,4 +93,63 @@ func BenchmarkKillRevive(b *testing.B) {
 		f.Kill(2)
 		f.Revive(2)
 	}
+}
+
+// BenchmarkFanOutFanIn measures one master/worker round on a 64-rank
+// fabric at 20µs: rank 0 sends to each of the 63 others, each echoes
+// back, and rank 0 collects all 63 replies. The modelled round trip is
+// about 40µs; everything above it is the fabric's own overhead. Sends go
+// the way the harness transmits (TrySend, Send when refused).
+func BenchmarkFanOutFanIn(b *testing.B) {
+	const n = 64
+	f := New(Config{N: n, BaseLatency: 20 * time.Microsecond})
+	defer f.Close()
+	send := func(env *wire.Envelope) {
+		if !f.TrySend(env) {
+			if err := f.Send(env, SendOpts{}); err != nil {
+				b.Error(err)
+			}
+		}
+	}
+	var workers sync.WaitGroup
+	for w := 1; w < n; w++ {
+		workers.Add(1)
+		go func(w int) {
+			defer workers.Done()
+			in := f.Inbox(w)
+			reply := &wire.Envelope{Kind: wire.KindApp, From: w, To: 0, Payload: make([]byte, 64)}
+			for {
+				env, ok := in.Recv()
+				if !ok {
+					return
+				}
+				reply.SendIndex = env.SendIndex
+				wire.Recycle(env)
+				send(reply)
+			}
+		}(w)
+	}
+	master := f.Inbox(0)
+	envs := make([]wire.Envelope, n)
+	for w := 1; w < n; w++ {
+		envs[w] = wire.Envelope{Kind: wire.KindApp, From: 0, To: w, Payload: make([]byte, 64)}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for w := 1; w < n; w++ {
+			envs[w].SendIndex = int64(i + 1)
+			send(&envs[w])
+		}
+		for w := 1; w < n; w++ {
+			env, ok := master.Recv()
+			if !ok {
+				b.Fatal("master inbox closed")
+			}
+			wire.Recycle(env)
+		}
+	}
+	b.StopTimer()
+	f.Close()
+	workers.Wait()
 }

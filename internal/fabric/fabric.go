@@ -18,11 +18,16 @@
 //     the link's bounded buffer has space (and block while it is full,
 //     modelling the limited communication-subsystem memory the paper
 //     blames for send-side blocking on large messages).
+//
+// Delivery timing runs on one goroutine and one clock timer for the
+// whole fabric: every link's batch in service waits in a deadline heap
+// that a single scheduler goroutine drains (see sched).
 package fabric
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"sync"
 	"time"
@@ -77,21 +82,24 @@ var ErrAborted = errors.New("fabric: send aborted")
 type Fabric struct {
 	cfg   Config
 	clk   clock.Clock
-	links []*link      // n*n, indexed from*n+to
+	epoch time.Time    // due times are offsets from the fabric's creation
+	links []link       // n*n, indexed from*n+to
 	ranks []*rankState // destination-side state
 
 	// instant is true when the configured network model never delays a
 	// message (zero latency, infinite bandwidth, no batch coalescing):
-	// Send may then bypass the link goroutine entirely and deliver
-	// inline, saving two goroutine hand-offs per message.
+	// Send may then deliver inline from the sending goroutine, bypassing
+	// the link queue and the scheduler.
 	instant bool
+
+	sched sched
 
 	closeOnce sync.Once
 	closed    chan struct{}
 }
 
-// New builds the fabric. Each link's delivery goroutine starts on the
-// link's first queued message, so an idle link costs no goroutine.
+// New builds the fabric. The delivery scheduler starts with the first
+// queued message, so a fabric that is never used costs no goroutine.
 func New(cfg Config) *Fabric {
 	if cfg.N <= 0 {
 		panic(fmt.Sprintf("fabric: invalid N=%d", cfg.N))
@@ -105,25 +113,21 @@ func New(cfg Config) *Fabric {
 	f := &Fabric{
 		cfg:    cfg,
 		clk:    cfg.Clock,
-		links:  make([]*link, cfg.N*cfg.N),
+		epoch:  cfg.Clock.Now(),
+		links:  make([]link, cfg.N*cfg.N),
 		ranks:  make([]*rankState, cfg.N),
 		closed: make(chan struct{}),
 	}
 	f.instant = cfg.BaseLatency == 0 && cfg.BytesPerSecond <= 0 && cfg.BatchBytes <= 0
+	f.sched = sched{wakeAt: idle, poke: make(chan struct{}, 1), exited: make(chan struct{})}
 	for i := range f.ranks {
-		f.ranks[i] = newRankState()
+		f.ranks[i] = &rankState{alive: true, box: newInbox()}
 	}
 	for from := 0; from < cfg.N; from++ {
 		for to := 0; to < cfg.N; to++ {
-			l := &link{
-				f:      f,
-				to:     to,
-				maxBuf: cfg.LinkBufferBytes,
-				batch:  cfg.Batch.Rank(from),
-			}
+			l := &f.links[from*cfg.N+to]
+			l.f, l.to, l.batch = f, to, cfg.Batch.Rank(from)
 			l.rng.Seed(uint64(cfg.Seed), uint64(from*cfg.N+to))
-			l.cond = sync.NewCond(&l.mu)
-			f.links[from*cfg.N+to] = l
 		}
 	}
 	return f
@@ -132,19 +136,22 @@ func New(cfg Config) *Fabric {
 // N returns the number of ranks.
 func (f *Fabric) N() int { return f.cfg.N }
 
-// Close stops all delivery goroutines. Pending messages are dropped.
+// Close stops the delivery scheduler and returns once it has exited.
+// Messages still queued or parked are dropped, blocked sends return
+// ErrAborted, and receivers drain what their inbox already holds before
+// seeing ok=false.
 func (f *Fabric) Close() {
 	f.closeOnce.Do(func() {
 		close(f.closed)
-		for _, l := range f.links {
-			l.mu.Lock()
-			l.cond.Broadcast()
-			l.mu.Unlock()
+		s := &f.sched
+		s.mu.Lock()
+		started := s.started
+		s.started = true // a late arm must not start a scheduler now
+		s.mu.Unlock()
+		if started {
+			<-s.exited
 		}
 		for _, r := range f.ranks {
-			r.mu.Lock()
-			r.aliveCond.Broadcast()
-			r.mu.Unlock()
 			r.inbox().closeBox()
 		}
 	})
@@ -155,8 +162,12 @@ type SendOpts struct {
 	// Rendezvous makes Send return only once the destination inbox has
 	// accepted the envelope (the synchronous MPI mode of Fig. 4(a)).
 	Rendezvous bool
-	// Abort unblocks a blocked Send with ErrAborted when it fires —
-	// used when the sending rank itself is killed.
+	// Abort unblocks a blocked Send with ErrAborted as soon as it fires,
+	// whether the send waits for link buffer space or for a rendezvous
+	// delivery — used when the sending rank itself is killed. A blocked
+	// send waits on Abort directly, so neither Kill nor any other call
+	// has to wake it, and closing Abort before or after Kill(env.From)
+	// is equally prompt. A message already accepted stays in flight.
 	Abort <-chan struct{}
 }
 
@@ -165,22 +176,21 @@ type SendOpts struct {
 // receiver gets the decoded form, so wire round-tripping is exercised on
 // every message.
 func (f *Fabric) Send(env *wire.Envelope, opts SendOpts) error {
-	if env.From < 0 || env.From >= f.cfg.N || env.To < 0 || env.To >= f.cfg.N {
+	l := f.link(env)
+	if l == nil {
 		return fmt.Errorf("fabric: bad endpoints %d->%d", env.From, env.To)
 	}
-	l := f.links[env.From*f.cfg.N+env.To]
 	if f.instant && l.tryInline(env) {
 		// Delivered synchronously: a rendezvous send's acceptance
 		// condition (destination inbox took the message) already holds.
 		return nil
 	}
-	buf := wire.GetBuf()
-	*buf = wire.AppendEncode((*buf)[:0], env)
-	it := &item{bytes: *buf, size: int64(len(*buf)), buf: buf}
+	it := item{buf: encode(env)}
 	if opts.Rendezvous {
 		it.done = make(chan struct{})
 	}
-	if err := l.enqueue(it, opts.Abort, f.closed); err != nil {
+	if err := l.enqueue(it, opts.Abort); err != nil {
+		wire.PutBuf(it.buf)
 		return err
 	}
 	if it.done != nil {
@@ -195,15 +205,51 @@ func (f *Fabric) Send(env *wire.Envelope, opts SendOpts) error {
 	return nil
 }
 
-// TrySend delivers env synchronously when the network model is instant
-// and the destination's link is idle and deliverable right now; false
-// means the caller must use Send, which owns blocking and parking.
+// TrySend accepts env without blocking, FIFO behind every earlier send
+// on its link, or reports false. On an instant network acceptance is
+// delivery: env goes straight into the destination inbox while the link
+// is idle and the destination deliverable. On a latency network env is
+// queued on its link whenever the link buffer has room, exactly as a
+// buffered Send that did not have to wait. false means the caller must
+// use Send, which owns blocking, parking and abort.
 func (f *Fabric) TrySend(env *wire.Envelope) bool {
-	if !f.instant || env.From < 0 || env.From >= f.cfg.N || env.To < 0 || env.To >= f.cfg.N {
+	l := f.link(env)
+	if l == nil {
 		return false
 	}
-	return f.links[env.From*f.cfg.N+env.To].tryInline(env)
+	if f.instant {
+		return l.tryInline(env)
+	}
+	it := item{buf: encode(env)}
+	l.mu.Lock()
+	ok := l.hasRoom(it.size())
+	if ok {
+		l.push(it)
+	}
+	l.mu.Unlock()
+	if !ok {
+		wire.PutBuf(it.buf)
+	}
+	return ok
 }
+
+// link returns env's link, or nil for out-of-range endpoints.
+func (f *Fabric) link(env *wire.Envelope) *link {
+	if env.From < 0 || env.From >= f.cfg.N || env.To < 0 || env.To >= f.cfg.N {
+		return nil
+	}
+	return &f.links[env.From*f.cfg.N+env.To]
+}
+
+// encode wire-encodes env into a pooled buffer the delivery returns.
+func encode(env *wire.Envelope) *[]byte {
+	buf := wire.GetBuf()
+	*buf = wire.AppendEncode((*buf)[:0], env)
+	return buf
+}
+
+// now is the fabric clock as an offset from the fabric's creation.
+func (f *Fabric) now() time.Duration { return f.clk.Now().Sub(f.epoch) }
 
 // Recv blocks until an envelope is available for rank, the rank is killed
 // (ok=false), or the fabric is closed (ok=false). Each call observes the
@@ -242,8 +288,9 @@ func (f *Fabric) Inbox(rank int) Inbox {
 }
 
 // Kill marks rank dead, dropping its inbox contents and unblocking its
-// receivers. Messages subsequently arriving for it are parked until
-// Revive.
+// receivers. Batches falling due for it park until Revive. Kill wakes no
+// link: a sender blocked on the killed rank's behalf waits on its own
+// abort channel (see SendOpts.Abort).
 func (f *Fabric) Kill(rank int) {
 	r := f.ranks[rank]
 	r.mu.Lock()
@@ -252,14 +299,6 @@ func (f *Fabric) Kill(rank int) {
 	r.box = newInbox()
 	r.mu.Unlock()
 	old.dropBox()
-	// Senders blocked on full link buffers may hold this rank's abort
-	// channel; wake them so they can observe it. Kills are rare, so a
-	// global broadcast is fine.
-	for _, l := range f.links {
-		l.mu.Lock()
-		l.cond.Broadcast()
-		l.mu.Unlock()
-	}
 }
 
 // Revive brings rank back (as a new incarnation) and releases any parked
@@ -268,7 +307,7 @@ func (f *Fabric) Revive(rank int) {
 	r := f.ranks[rank]
 	r.mu.Lock()
 	r.alive = true
-	r.aliveCond.Broadcast()
+	f.releaseLocked(r)
 	r.mu.Unlock()
 }
 
@@ -289,8 +328,23 @@ func (f *Fabric) Unstall(rank int) {
 	r := f.ranks[rank]
 	r.mu.Lock()
 	r.stalled = false
-	r.aliveCond.Broadcast()
+	f.releaseLocked(r)
 	r.mu.Unlock()
+}
+
+// releaseLocked re-arms r's parked links at the current time once r is
+// deliverable again; the scheduler then delivers each parked batch in
+// its link's FIFO order. Callers hold r.mu.
+func (f *Fabric) releaseLocked(r *rankState) {
+	if !r.alive || r.stalled || len(r.parked) == 0 {
+		return
+	}
+	now := f.now()
+	for i, l := range r.parked {
+		f.sched.arm(l, now)
+		r.parked[i] = nil
+	}
+	r.parked = r.parked[:0]
 }
 
 // Alive reports whether rank is currently alive.
@@ -301,79 +355,125 @@ func (f *Fabric) Alive(rank int) bool {
 	return r.alive
 }
 
-// InFlight reports the number of messages queued or in transit across all
-// links (diagnostics and tests).
+// InFlight reports the number of messages queued, in service or parked
+// across all links (diagnostics and tests).
 func (f *Fabric) InFlight() int {
 	total := 0
-	for _, l := range f.links {
+	for i := range f.links {
+		l := &f.links[i]
 		l.mu.Lock()
-		total += len(l.queue) + l.busy
+		total += len(l.queue) - l.head
 		l.mu.Unlock()
 	}
 	return total
 }
 
-// item is one in-flight message.
+// item is one in-flight message, held by value in its link's queue.
 type item struct {
-	bytes []byte
-	size  int64
-	buf   *[]byte       // pooled backing of bytes, returned after decode
-	done  chan struct{} // non-nil for rendezvous sends
+	buf  *[]byte       // pooled wire encoding, returned after decode
+	done chan struct{} // non-nil for rendezvous sends
 }
+
+func (it item) size() int64 { return int64(len(*it.buf)) }
 
 // link is one ordered-pair FIFO channel with a serial service model: a
 // message's transmission time delays the messages queued behind it, so a
 // large payload stalls the link exactly the way the paper describes.
+//
+// queue[head:] is everything in flight on the link. Its first busy items
+// are the batch in service: armed on the scheduler, parked on the
+// destination, or being delivered. The rest wait, and queued counts
+// their bytes against the link buffer.
 type link struct {
-	f      *Fabric
-	to     int
-	maxBuf int64
+	f  *Fabric
+	to int
 
-	mu      sync.Mutex
-	cond    *sync.Cond
-	queue   []*item
-	queued  int64 // bytes waiting
-	busy    int   // messages in service (the current batch)
-	started bool  // delivery goroutine launched
-	rng     rand.PCG
-	batch   *obs.Hist // occupancy of each serviced batch (nil-safe)
-	dropped int64
+	mu     sync.Mutex
+	space  chan struct{} // closed when buffer space frees; nil unless a sender waits
+	queue  []item        // reused across batches
+	head   int
+	busy   int   // items in the batch in service
+	queued int64 // bytes waiting behind the batch in service
+	rng    rand.PCG
+	batch  *obs.Hist // occupancy of each serviced batch (nil-safe)
 }
 
-func (l *link) enqueue(it *item, abort <-chan struct{}, closed chan struct{}) error {
+// hasRoom reports whether a message of size bytes fits the link buffer.
+// An oversized message is admitted onto an empty buffer. Callers hold
+// l.mu.
+func (l *link) hasRoom(size int64) bool {
+	return l.queued == 0 || l.queued+size <= l.f.cfg.LinkBufferBytes
+}
+
+// enqueue appends it to the link, blocking while the link buffer is
+// full until space frees, abort fires or the fabric closes.
+func (l *link) enqueue(it item, abort <-chan struct{}) error {
+	size := it.size()
 	l.mu.Lock()
-	if !l.started {
-		l.started = true
-		go l.run()
-	}
-	for l.queued+it.size > l.maxBuf && l.queued > 0 {
-		// Buffer full: wait for drain, abort, or shutdown. Poll the
-		// abort channel around cond waits; the delivery goroutine
-		// broadcasts on every dequeue.
-		select {
-		case <-abort:
-			l.mu.Unlock()
-			return ErrAborted
-		case <-closed:
-			l.mu.Unlock()
-			return ErrAborted
-		default:
+	for !l.hasRoom(size) {
+		if l.space == nil {
+			l.space = make(chan struct{})
 		}
-		l.cond.Wait()
+		space := l.space
+		l.mu.Unlock()
+		select {
+		case <-space:
+		case <-abort:
+			return ErrAborted
+		case <-l.f.closed:
+			return ErrAborted
+		}
+		l.mu.Lock()
 	}
-	l.queue = append(l.queue, it)
-	l.queued += it.size
-	l.cond.Broadcast()
+	l.push(it)
 	l.mu.Unlock()
 	return nil
 }
 
+// push appends it behind every earlier message; on an idle link it goes
+// into service at once. Callers hold l.mu and have checked hasRoom.
+func (l *link) push(it item) {
+	if len(l.queue) == cap(l.queue) && l.head > 0 {
+		n := copy(l.queue, l.queue[l.head:])
+		clear(l.queue[n:])
+		l.queue, l.head = l.queue[:n], 0
+	}
+	l.queue = append(l.queue, it)
+	l.queued += it.size()
+	if l.busy == 0 {
+		l.startBatch(l.f.now())
+	}
+}
+
+// startBatch puts the head of the waiting messages into service at
+// start: the head plus — when batching is on — as many followers as fit
+// under BatchBytes. The whole batch pays one latency charge, like one
+// coalesced write on a real link, and is armed on the scheduler for
+// start+delay. Callers hold l.mu.
+func (l *link) startBatch(start time.Duration) {
+	i := l.head + 1
+	total := l.queue[l.head].size()
+	if max := l.f.cfg.BatchBytes; max > 0 {
+		for ; i < len(l.queue) && total+l.queue[i].size() <= max; i++ {
+			total += l.queue[i].size()
+		}
+	}
+	l.busy = i - l.head
+	l.queued -= total
+	l.batch.Record(int64(l.busy))
+	l.f.sched.arm(l, start+l.delayFor(total))
+	if l.space != nil {
+		close(l.space)
+		l.space = nil
+	}
+}
+
 // tryInline delivers env synchronously on an instant network, bypassing
-// the link goroutine. It only fires while the link is idle (nothing
-// queued or in service) and the destination is alive and unstalled, so
-// per-link FIFO order and the park-while-dead semantics are untouched:
-// any message that cannot go right now takes the queued path, and once
-// one is queued every later send queues behind it until the link drains.
+// the link queue. It only fires while the link is idle (nothing queued
+// or in service) and the destination is alive and unstalled, so per-link
+// FIFO order and the park-while-dead semantics are untouched: any
+// message that cannot go right now takes the queued path, and once one
+// is queued every later send queues behind it until the link drains.
 // l.mu is held across the inbox push so a racing send on the same link
 // cannot overtake the delivery. The receiver gets a deep copy with the
 // same ownership contract a decode would produce, never the sender's
@@ -381,7 +481,7 @@ func (l *link) enqueue(it *item, abort <-chan struct{}, closed chan struct{}) er
 func (l *link) tryInline(env *wire.Envelope) bool {
 	r := l.f.ranks[l.to]
 	l.mu.Lock()
-	if len(l.queue) > 0 || l.busy > 0 {
+	if len(l.queue) > l.head {
 		l.mu.Unlock()
 		return false
 	}
@@ -402,55 +502,47 @@ func (l *link) tryInline(env *wire.Envelope) bool {
 	return true
 }
 
-func (l *link) run() {
-	for {
-		l.mu.Lock()
-		for len(l.queue) == 0 {
-			select {
-			case <-l.f.closed:
-				l.mu.Unlock()
-				return
-			default:
-			}
-			l.cond.Wait()
-		}
-		// Serve the head, plus — when batching is on — as many queued
-		// followers as fit under BatchBytes. The whole batch pays one
-		// latency charge, like one coalesced write on a real link; FIFO
-		// order within the batch is preserved at delivery.
-		batch := []*item{l.queue[0]}
-		total := l.queue[0].size
-		l.queue = l.queue[1:]
-		if max := l.f.cfg.BatchBytes; max > 0 {
-			for len(l.queue) > 0 && total+l.queue[0].size <= max {
-				batch = append(batch, l.queue[0])
-				total += l.queue[0].size
-				l.queue = l.queue[1:]
-			}
-		}
-		l.queued -= total
-		l.busy = len(batch)
-		delay := l.delayFor(total)
-		l.cond.Broadcast()
-		l.mu.Unlock()
-
-		l.batch.Record(int64(len(batch)))
-		if delay > 0 {
-			select {
-			case <-l.f.clk.After(delay):
-			case <-l.f.closed:
-				return
-			}
-		}
-		for _, it := range batch {
-			if !l.deliver(it) {
-				return
-			}
-		}
-		l.mu.Lock()
-		l.busy = 0
-		l.mu.Unlock()
+// deliverDue runs on the scheduler when l's batch in service falls due
+// at now. A dead or stalled destination parks the link on its rank;
+// otherwise the batch is decoded into the destination inbox in FIFO
+// order and the next waiting batch goes into service at now, so its
+// latency starts when its predecessor is delivered. l.mu is held
+// throughout, so no send on the link can overtake the batch.
+func (l *link) deliverDue(now time.Duration) {
+	r := l.f.ranks[l.to]
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	r.mu.Lock()
+	if !r.alive || r.stalled {
+		r.parked = append(r.parked, l)
+		r.mu.Unlock()
+		return
 	}
+	box := r.box
+	r.mu.Unlock()
+
+	end := l.head + l.busy
+	for i := l.head; i < end; i++ {
+		it := l.queue[i]
+		l.queue[i] = item{}
+		env := wire.GetEnvelope()
+		if err := wire.DecodeInto(env, *it.buf); err != nil {
+			// An encode/decode mismatch is a bug in this repository, not a
+			// runtime condition: fail loudly.
+			panic(fmt.Sprintf("fabric: corrupt envelope on link to %d: %v", l.to, err))
+		}
+		wire.PutBuf(it.buf)
+		box.push(env)
+		if it.done != nil {
+			close(it.done)
+		}
+	}
+	l.head, l.busy = end, 0
+	if l.head == len(l.queue) {
+		l.queue, l.head = l.queue[:0], 0
+		return
+	}
+	l.startBatch(now)
 }
 
 // delayFor computes base + size/bandwidth + jitter. Callers hold l.mu (for
@@ -467,51 +559,165 @@ func (l *link) delayFor(size int64) time.Duration {
 	return d
 }
 
-// deliver hands it to the destination, parking while the destination is
-// dead or stalled. Returns false when the fabric shut down.
-func (l *link) deliver(it *item) bool {
-	r := l.f.ranks[l.to]
-	r.mu.Lock()
-	for !r.alive || r.stalled {
+// idle is the scheduler's wakeAt while it sleeps with nothing armed.
+const idle = time.Duration(math.MaxInt64)
+
+// sched is the fabric-wide delivery scheduler: one goroutine and one
+// clock timer serve every link. Each link's batch in service sits in a
+// min-heap keyed by its due time; the goroutine sleeps until the
+// earliest, delivers every batch that is due, and sleeps again. A link
+// armed with a new earliest due time pokes the sleeper awake.
+//
+// Lock order: link.mu, then rank.mu, then sched.mu. Nothing takes a
+// link or rank lock while holding sched.mu.
+type sched struct {
+	mu   sync.Mutex
+	heap []dueLink
+	// wakeAt is the due time the scheduler will next look at the heap by
+	// itself: the earliest due time while it sleeps, idle when nothing
+	// is armed, and math.MinInt64 while it runs a delivery pass (which
+	// re-reads the heap before sleeping, so no arm needs to poke it).
+	wakeAt  time.Duration
+	started bool
+	ready   []*link // scheduler-owned: the links due in the current pass
+
+	poke   chan struct{} // 1-buffered
+	exited chan struct{} // closed when the scheduler goroutine returns
+}
+
+// dueLink is one heap entry: l's batch in service falls due at due.
+type dueLink struct {
+	due time.Duration
+	l   *link
+}
+
+// arm schedules l's batch in service for delivery at due, starting the
+// scheduler goroutine on first use. Callers hold l.mu, or r.mu of the
+// rank l is parked on.
+func (s *sched) arm(l *link, due time.Duration) {
+	s.mu.Lock()
+	s.push(dueLink{due: due, l: l})
+	if !s.started {
+		// The new goroutine reads the heap before it first sleeps.
+		s.started, s.wakeAt = true, math.MinInt64
+		go l.f.schedule()
+	}
+	wake := due < s.wakeAt
+	if wake {
+		s.wakeAt = due
+	}
+	s.mu.Unlock()
+	if wake {
 		select {
-		case <-l.f.closed:
-			r.mu.Unlock()
-			return false
+		case s.poke <- struct{}{}:
 		default:
 		}
-		r.aliveCond.Wait()
 	}
-	box := r.box
-	r.mu.Unlock()
+}
 
-	env := wire.GetEnvelope()
-	if err := wire.DecodeInto(env, it.bytes); err != nil {
-		// An encode/decode mismatch is a bug in this repository, not a
-		// runtime condition: fail loudly.
-		panic(fmt.Sprintf("fabric: corrupt envelope on link to %d: %v", l.to, err))
+// schedule is the scheduler goroutine: it delivers each batch that is
+// due and sleeps on a single timer until the next due time, a poke, or
+// Close.
+func (f *Fabric) schedule() {
+	s := &f.sched
+	defer close(s.exited)
+	for {
+		select {
+		case <-f.closed:
+			return
+		default:
+		}
+		now := f.now()
+		s.mu.Lock()
+		for len(s.heap) > 0 && s.heap[0].due <= now {
+			s.ready = append(s.ready, s.pop())
+		}
+		wait := time.Duration(-1)
+		switch {
+		case len(s.ready) > 0:
+			s.wakeAt = math.MinInt64
+		case len(s.heap) > 0:
+			s.wakeAt = s.heap[0].due
+			wait = s.wakeAt - now
+		default:
+			s.wakeAt = idle
+		}
+		s.mu.Unlock()
+
+		if len(s.ready) > 0 {
+			for i, l := range s.ready {
+				l.deliverDue(now)
+				s.ready[i] = nil
+			}
+			s.ready = s.ready[:0]
+			continue
+		}
+		var timer <-chan time.Time
+		if wait >= 0 {
+			timer = f.clk.After(wait)
+		}
+		select {
+		case <-timer:
+		case <-s.poke:
+		case <-f.closed:
+			return
+		}
 	}
-	wire.PutBuf(it.buf)
-	it.bytes, it.buf = nil, nil
-	box.push(env)
-	if it.done != nil {
-		close(it.done)
+}
+
+// push adds e to the heap. Callers hold s.mu.
+func (s *sched) push(e dueLink) {
+	s.heap = append(s.heap, e)
+	i := len(s.heap) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if s.heap[p].due <= e.due {
+			break
+		}
+		s.heap[i] = s.heap[p]
+		i = p
 	}
-	return true
+	s.heap[i] = e
+}
+
+// pop removes and returns the link with the earliest due time. Callers
+// hold s.mu and have checked the heap is not empty.
+func (s *sched) pop() *link {
+	h := s.heap
+	top := h[0].l
+	n := len(h) - 1
+	last := h[n]
+	h[n] = dueLink{}
+	h = h[:n]
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && h[c+1].due < h[c].due {
+			c++
+		}
+		if last.due <= h[c].due {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	if n > 0 {
+		h[i] = last
+	}
+	s.heap = h
+	return top
 }
 
 // rankState is the destination-side view of one rank.
 type rankState struct {
-	mu        sync.Mutex
-	alive     bool
-	stalled   bool // delivery suspended (Stall), independent of alive
-	aliveCond *sync.Cond
-	box       *inboxT
-}
-
-func newRankState() *rankState {
-	r := &rankState{alive: true, box: newInbox()}
-	r.aliveCond = sync.NewCond(&r.mu)
-	return r
+	mu      sync.Mutex
+	alive   bool
+	stalled bool // delivery suspended (Stall), independent of alive
+	box     *inboxT
+	parked  []*link // links whose due batch waits for the rank to become deliverable
 }
 
 func (r *rankState) inbox() *inboxT {

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"windar/internal/wire"
 )
@@ -229,42 +230,105 @@ func TestInFlightToDeadRankParksAndDelivers(t *testing.T) {
 }
 
 func TestLinkBufferBackpressure(t *testing.T) {
-	// Tiny link buffer + dead receiver: the second buffered send must
-	// block until the receiver revives and drains the link.
+	// Tiny link buffer + dead receiver: message 1 enters service as it
+	// is sent and parks on the dead rank, message 2 fills the buffer
+	// (an oversized message is admitted onto an empty buffer), and the
+	// third buffered send must block until the receiver revives and the
+	// link drains.
 	f := newTestFabric(t, 2, Config{LinkBufferBytes: 64})
 	f.Kill(1)
 	big := make([]byte, 256)
-	// First send occupies the link (oversized messages are admitted when
-	// the buffer is empty).
-	mustSend(t, f, &wire.Envelope{Kind: wire.KindApp, From: 0, To: 1, SendIndex: 1, Payload: big}, SendOpts{})
+	for i := int64(1); i <= 2; i++ {
+		mustSend(t, f, &wire.Envelope{Kind: wire.KindApp, From: 0, To: 1, SendIndex: i, Payload: big}, SendOpts{})
+	}
 	done := make(chan error, 1)
 	go func() {
-		done <- f.Send(&wire.Envelope{Kind: wire.KindApp, From: 0, To: 1, SendIndex: 2, Payload: big}, SendOpts{})
+		done <- f.Send(&wire.Envelope{Kind: wire.KindApp, From: 0, To: 1, SendIndex: 3, Payload: big}, SendOpts{})
 	}()
 	select {
-	case <-done:
-		// The link goroutine may have already pulled message 1 into
-		// service (parked on the dead rank), freeing the buffer; then
-		// message 2 simply queues. Both outcomes are legal; only
-		// delivery order matters.
-		t.Log("second send admitted after first entered service")
+	case err := <-done:
+		t.Fatalf("send into a full link buffer returned early: %v", err)
 	case <-time.After(30 * time.Millisecond):
-		f.Revive(1)
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatalf("send failed: %v", err)
-			}
-		case <-time.After(10 * time.Second):
-			t.Fatal("backpressured send never completed")
-		}
 	}
-	f.Revive(1) // idempotent
-	for want := int64(1); want <= 2; want++ {
+	f.Revive(1)
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("send failed: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("backpressured send never completed")
+	}
+	for want := int64(1); want <= 3; want++ {
 		got := recvOne(t, f, 1)
 		if got.SendIndex != want {
 			t.Fatalf("order violated: got %d want %d", got.SendIndex, want)
 		}
+	}
+}
+
+// TestKillAbortsOnlyTheKilledRanksSenders blocks one sender on a full
+// link from each of ranks 0 and 1 and kills rank 0 the way the harness
+// does: fabric Kill first, then the rank's abort channel. Rank 0's
+// sender must return ErrAborted promptly without its message ever
+// arriving; rank 1's sender must stay blocked until its link drains.
+func TestKillAbortsOnlyTheKilledRanksSenders(t *testing.T) {
+	f := newTestFabric(t, 3, Config{LinkBufferBytes: 64})
+	f.Kill(2)
+	big := make([]byte, 256)
+	var aborts [2]chan struct{}
+	var done [2]chan error
+	for from := 0; from < 2; from++ {
+		for i := int64(1); i <= 2; i++ {
+			mustSend(t, f, &wire.Envelope{Kind: wire.KindApp, From: from, To: 2, SendIndex: i, Payload: big}, SendOpts{})
+		}
+		aborts[from], done[from] = make(chan struct{}), make(chan error, 1)
+		go func(from int) {
+			env := &wire.Envelope{Kind: wire.KindApp, From: from, To: 2, SendIndex: 3, Payload: big}
+			done[from] <- f.Send(env, SendOpts{Abort: aborts[from]})
+		}(from)
+	}
+	time.Sleep(10 * time.Millisecond)
+	f.Kill(0)
+	// The abort fires well after Kill has returned, as when a harness
+	// rank unwinds after its transport kill.
+	time.Sleep(10 * time.Millisecond)
+	close(aborts[0])
+	select {
+	case err := <-done[0]:
+		if err != ErrAborted {
+			t.Fatalf("killed rank's sender: err = %v, want ErrAborted", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("killed rank's blocked sender never returned")
+	}
+	select {
+	case err := <-done[1]:
+		t.Fatalf("sender on another link returned on Kill(0): %v", err)
+	case <-time.After(30 * time.Millisecond):
+	}
+	f.Revive(2)
+	if err := <-done[1]; err != nil {
+		t.Fatalf("rank 1's send after the link drained: %v", err)
+	}
+	last := map[int]int64{}
+	for i := 0; i < 5; i++ {
+		got := recvOne(t, f, 2)
+		if got.SendIndex != last[got.From]+1 {
+			t.Fatalf("from %d: got index %d after %d", got.From, got.SendIndex, last[got.From])
+		}
+		last[got.From] = got.SendIndex
+	}
+	if last[0] != 2 || last[1] != 3 {
+		t.Fatalf("delivered through index %v, want 0:2 (aborted 3 never sent) and 1:3", last)
+	}
+}
+
+// TestLinkSize pins the per-link footprint: a fabric holds n² links, so
+// every byte here is multiplied by the square of the rank count.
+func TestLinkSize(t *testing.T) {
+	if got := unsafe.Sizeof(link{}); got > 128 {
+		t.Fatalf("link is %d B, want <= 128", got)
 	}
 }
 
@@ -298,6 +362,13 @@ func TestCloseUnblocksEverything(t *testing.T) {
 	}()
 	time.Sleep(10 * time.Millisecond)
 	f.Close()
+	// The parked rendezvous send started the scheduler; Close must have
+	// waited for it to exit.
+	select {
+	case <-f.sched.exited:
+	default:
+		t.Fatal("Close returned before the scheduler exited")
+	}
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
 	select {

@@ -10,10 +10,12 @@ package harness
 import (
 	"io"
 	"testing"
+	"time"
 
 	"windar/internal/app"
 	"windar/internal/ckpt"
 	"windar/internal/core"
+	"windar/internal/fabric"
 	"windar/internal/obs"
 	"windar/internal/proto"
 	"windar/internal/vclock"
@@ -47,6 +49,7 @@ func AllocProbes() []AllocProbe {
 		{Name: "frame_read", F: probeFrameRead},
 		{Name: "log_append_release", F: probeLogAppendRelease},
 		{Name: "ckpt_encode", F: probeCkptEncode},
+		{Name: "fabric_fanout", F: probeFabricFanout},
 	}
 }
 
@@ -303,4 +306,45 @@ func probeCkptEncode() float64 {
 	return testing.AllocsPerRun(allocProbeRuns, func() {
 		buf = ckpt.AppendEncode(buf[:0], cp)
 	})
+}
+
+// probeFabricFanout measures the queued fabric path per message: rank 0
+// fans one message out to each of 63 peers through a 20µs fabric the way
+// the harness transmits (TrySend, Send when refused), and each receiver
+// drains and recycles it. A message crosses the pooled encode, the
+// link queue, the deadline scheduler, the decode into a pooled envelope
+// and the inbox; the one allocation it should cost is the payload copy
+// DecodeInto hands the receiver. The result is allocations per message.
+func probeFabricFanout() float64 {
+	const n = 64
+	f := fabric.New(fabric.Config{N: n, BaseLatency: 20 * time.Microsecond})
+	defer f.Close()
+	envs := make([]wire.Envelope, n)
+	inboxes := make([]fabric.Inbox, n)
+	for to := 1; to < n; to++ {
+		envs[to] = wire.Envelope{Kind: wire.KindApp, From: 0, To: to,
+			Piggyback: []byte{0x00, 0x00}, Payload: []byte("payload-bytes")}
+		inboxes[to] = f.Inbox(to)
+	}
+	batch := make([]*wire.Envelope, 0, 4)
+	op := func() {
+		for to := 1; to < n; to++ {
+			env := &envs[to]
+			env.SendIndex++
+			if !f.TrySend(env) {
+				if err := f.Send(env, fabric.SendOpts{}); err != nil {
+					panic(err)
+				}
+			}
+		}
+		for to := 1; to < n; to++ {
+			var ok bool
+			if batch, ok = inboxes[to].RecvBatch(batch[:0]); !ok || len(batch) != 1 {
+				panic("allocprobe: fan-out message lost")
+			}
+			wire.Recycle(batch[0])
+		}
+	}
+	op() // warm the link queues, the heap and the envelope pool
+	return testing.AllocsPerRun(allocProbeRuns, op) / (n - 1)
 }

@@ -238,8 +238,8 @@ type Cluster struct {
 	clk clock.Clock
 	tr  transport.Transport
 	// trInline is tr's InlineSender capability, nil when absent. The
-	// transmit path feature-tests it to hand instant deliveries to the
-	// destination without waking the sender goroutine.
+	// transmit path feature-tests it to hand sends to the transport
+	// without waking the sender goroutine.
 	trInline transport.InlineSender
 	store    *stable.Store
 	ckpts    *ckpt.Manager

@@ -393,11 +393,12 @@ func (r *rankRuntime) transmit(env *wire.Envelope) {
 		return
 	}
 	r.sendMu.Lock()
-	// Instant-transport fast path: when queue A is empty and the sender
-	// goroutine idle, a TrySend that lands skips the queue hand-off
-	// entirely. FIFO holds because any send that cannot go inline is
-	// appended under this same lock, and once one is queued every later
-	// send sees len(sendQ) > 0 and queues behind it.
+	// Inline fast path: when queue A is empty and the sender goroutine
+	// idle, a TrySend the transport accepts without blocking (delivered
+	// on an instant fabric, queued on its link on a latency one) skips
+	// the queue hand-off entirely. FIFO holds because any send that
+	// cannot go inline is appended under this same lock, and once one is
+	// queued every later send sees len(sendQ) > 0 and queues behind it.
 	if r.c.trInline != nil && len(r.sendQ) == 0 && !r.sendBusy && r.c.trInline.TrySend(env) {
 		r.sendMu.Unlock()
 		wire.Recycle(env)

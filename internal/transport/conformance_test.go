@@ -645,3 +645,133 @@ func TestRecvBatchKillUnblocks(t *testing.T) {
 		}
 	})
 }
+
+// eachInline runs fn on every transport implementing InlineSender, at
+// both network models it distinguishes: instant (acceptance is
+// delivery) and a 20µs latency (acceptance queues on the link).
+// linkBuf is the per-link buffer bound, 0 for the default.
+func eachInline(t *testing.T, linkBuf int64, fn func(t *testing.T, tr transport.Transport, in transport.InlineSender, instant bool)) {
+	for _, c := range []struct {
+		name    string
+		latency time.Duration
+	}{{"mem-instant", 0}, {"mem-20us", 20 * time.Microsecond}} {
+		t.Run(c.name, func(t *testing.T) {
+			tr := mem.New(fabric.Config{N: 2, BaseLatency: c.latency, Seed: 7, LinkBufferBytes: linkBuf})
+			defer tr.Close()
+			in, ok := transport.Transport(tr).(transport.InlineSender)
+			if !ok {
+				t.Fatal("mem transport does not implement InlineSender")
+			}
+			fn(t, tr, in, c.latency == 0)
+		})
+	}
+}
+
+// TestTrySendAcceptance: an accepted TrySend is delivered on return on
+// an instant network, and in flight then delivered on a latency one.
+func TestTrySendAcceptance(t *testing.T) {
+	eachInline(t, 0, func(t *testing.T, tr transport.Transport, in transport.InlineSender, instant bool) {
+		if !in.TrySend(appEnv(0, 1, 1)) {
+			t.Fatal("TrySend on an idle link to a live rank returned false")
+		}
+		if instant {
+			if n := tr.InFlight(); n != 0 {
+				t.Fatalf("instant TrySend returned with %d in flight; acceptance must be delivery", n)
+			}
+		}
+		env, ok := tr.Inbox(1).Recv()
+		if !ok || env.SendIndex != 1 || string(env.Payload) != "m1" {
+			t.Fatalf("got %+v, %v", env, ok)
+		}
+	})
+}
+
+// TestTrySendFIFOWithSend interleaves TrySend with Send on one link,
+// with stall windows that force Send-queued envelopes to park: every
+// envelope arrives, in send order.
+func TestTrySendFIFOWithSend(t *testing.T) {
+	eachInline(t, 0, func(t *testing.T, tr transport.Transport, in transport.InlineSender, _ bool) {
+		const count = 300
+		st := tr.(transport.Staller)
+		inbox := tr.Inbox(1)
+		done := make(chan error, 1)
+		go func() {
+			for i := 0; i < count; i++ {
+				env, ok := inbox.Recv()
+				if !ok {
+					done <- fmt.Errorf("inbox closed at %d", i)
+					return
+				}
+				if env.SendIndex != int64(i) {
+					done <- fmt.Errorf("got index %d, want %d", env.SendIndex, i)
+					return
+				}
+			}
+			done <- nil
+		}()
+		inlined := 0
+		for i := 0; i < count; i++ {
+			switch i % 50 {
+			case 10:
+				st.Stall(1)
+			case 20:
+				st.Unstall(1)
+			}
+			env := appEnv(0, 1, i)
+			if i%3 != 0 && in.TrySend(env) {
+				inlined++
+				continue
+			}
+			mustSend(t, tr, env, transport.SendOpts{})
+		}
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		if inlined == 0 {
+			t.Fatal("no TrySend was accepted")
+		}
+	})
+}
+
+// TestTrySendFullLinkRefuses: with the destination stalled and the link
+// buffer full, TrySend returns false at once and accepts nothing.
+func TestTrySendFullLinkRefuses(t *testing.T) {
+	eachInline(t, 64, func(t *testing.T, tr transport.Transport, in transport.InlineSender, _ bool) {
+		st := tr.(transport.Staller)
+		st.Stall(1)
+		big := &wire.Envelope{Kind: wire.KindApp, From: 0, To: 1, Payload: make([]byte, 256)}
+		// The first envelope goes into service and parks; the second
+		// fills the buffer (oversized, admitted onto an empty buffer).
+		for i := int64(0); i < 2; i++ {
+			env := *big
+			env.SendIndex = i
+			mustSend(t, tr, &env, transport.SendOpts{})
+		}
+		refused := make(chan bool, 1)
+		go func() {
+			env := *big
+			env.SendIndex = 2
+			refused <- !in.TrySend(&env)
+		}()
+		select {
+		case ok := <-refused:
+			if !ok {
+				t.Fatal("TrySend accepted into a full link buffer")
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("TrySend blocked on a full link buffer")
+		}
+		if n := tr.InFlight(); n != 2 {
+			t.Fatalf("InFlight = %d after a refused TrySend, want 2", n)
+		}
+		st.Unstall(1)
+		inbox := tr.Inbox(1)
+		for i := int64(0); i < 2; i++ {
+			env, ok := inbox.Recv()
+			if !ok || env.SendIndex != i {
+				t.Fatalf("got %+v, %v; want index %d", env, ok, i)
+			}
+		}
+		waitDrained(t, tr)
+	})
+}

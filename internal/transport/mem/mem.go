@@ -19,8 +19,9 @@ type Transport struct {
 }
 
 var (
-	_ transport.Transport = (*Transport)(nil)
-	_ transport.Staller   = (*Transport)(nil)
+	_ transport.Transport    = (*Transport)(nil)
+	_ transport.Staller      = (*Transport)(nil)
+	_ transport.InlineSender = (*Transport)(nil)
 )
 
 // New builds a mem transport over a fresh fabric configured by cfg.
@@ -44,7 +45,8 @@ func (t *Transport) Send(env *wire.Envelope, opts transport.SendOpts) error {
 }
 
 // TrySend implements transport.InlineSender: on an instant fabric the
-// envelope is decoded straight into the destination inbox.
+// envelope is copied straight into the destination inbox; on a latency
+// fabric it is queued on its link whenever the link buffer has room.
 func (t *Transport) TrySend(env *wire.Envelope) bool { return t.fab.TrySend(env) }
 
 // Inbox implements transport.Transport; fabric.Inbox already satisfies

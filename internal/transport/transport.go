@@ -92,17 +92,18 @@ type BatchInbox interface {
 	RecvBatch(buf []*wire.Envelope) ([]*wire.Envelope, bool)
 }
 
-// InlineSender is an optional Transport capability: a non-blocking
-// synchronous send. TrySend returns true only when the envelope was
-// accepted AND delivered to the destination's inbox before returning —
-// possible when the transport's network model is instant (the in-memory
-// fabric with zero latency and infinite bandwidth). ok=false carries no
-// verdict about the destination; the caller falls back to Send, which
-// owns the blocking, parking, and abort semantics. Because acceptance
-// equals delivery, a successful TrySend satisfies a rendezvous send's
-// contract too.
+// InlineSender is an optional Transport capability: a send from the
+// calling goroutine that never blocks. TrySend returns true when env
+// was accepted without blocking, FIFO behind every earlier send on the
+// link; on an instant network (the in-memory fabric with zero latency
+// and infinite bandwidth) acceptance is delivery, into the destination
+// inbox before TrySend returns. ok=false carries no verdict about the
+// destination; the caller falls back to Send, which owns the blocking,
+// parking, and abort semantics. A successful TrySend therefore
+// satisfies a rendezvous send's contract only on an instant network;
+// elsewhere it has a buffered Send's.
 type InlineSender interface {
-	// TrySend delivers env now or not at all.
+	// TrySend accepts env now or not at all.
 	TrySend(env *wire.Envelope) bool
 }
 
